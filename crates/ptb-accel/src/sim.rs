@@ -34,8 +34,9 @@
 //! and every tally field is an integer sum — so accumulation is
 //! associative and commutative, and any partition of the position space
 //! merged in any order produces bit-identical totals. The simulator
-//! exploits this: [`SimInputs::threads`] fans contiguous position
-//! chunks across scoped worker threads and merges the per-chunk tallies
+//! exploits this: [`SimInputs::threads`] fans contiguous chunks of the
+//! scan (output positions; column tiles for baseline \[14\]) across
+//! scoped worker threads and merges the per-chunk tallies
 //! in chunk-index order. `threads = 1` *is* the historical serial walk
 //! (one chunk, same iteration order); any other count yields an
 //! [`assert_eq!`]-identical [`LayerReport`], because the floating-point
@@ -49,9 +50,21 @@
 //! The hot paths read the activity in whole 64-time-point blocks: the
 //! PTB gather tests a column tile's windows with one funnel-shifted
 //! tag mask ([`crate::geom::tag_mask`]) instead of a per-window walk,
-//! and the dense/event-driven baselines popcount packed [`SpikeTensor`]
-//! words instead of walking a per-(neuron, time-point) byte table. The
-//! retired byte-table walk survives verbatim behind
+//! and the event-driven baseline popcounts packed [`SpikeTensor`] words
+//! instead of walking a per-(neuron, time-point) byte table.
+//!
+//! The dense baselines never walk a receptive field at all: a field is
+//! every channel of one pixel rectangle, so its spike sums are
+//! rectangle sums over per-pixel counts (`PixelWindows`). Baseline
+//! \[14\] runs tile-major — per column tile, each neuron's set bits
+//! scatter into its pixel's per-column counts (summed over channels),
+//! one in-place prefix sum turns the `(H + 1)² × cols` table into a
+//! summed-area table, and every position reads its per-column counts
+//! with four corner lookups, `O(cols)` whatever `C · R²` is. Workers
+//! split the tiles. The time-serial baseline reads its per-position
+//! `Σ fires` the same way from one whole-period table.
+//!
+//! The retired byte-table and receptive-field walks survive behind
 //! [`simulate_layer_reference`] — the serial per-bit reference the
 //! equivalence tests (and benchmarks) pin the word kernel against.
 //! Every tally field is an integer sum, and the word paths accumulate
@@ -59,6 +72,8 @@
 //! event totals aggregate to popcounts), so reports stay bit-identical
 //! to the reference.
 
+use std::num::Wrapping;
+use std::ops::{Add, Range, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -294,27 +309,39 @@ impl Tally {
     }
 }
 
+/// The contiguous chunks [`scan_chunks`] hands its workers, in order:
+/// at most `threads` of them, each non-empty, together covering exactly
+/// `0..items`. Every chunk but the last holds `ceil(items / threads)`
+/// items, so fewer chunks than threads come out when that rounding
+/// leaves nothing for the trailing workers (6 items on 5 threads are
+/// three chunks of two).
+fn chunk_ranges(threads: usize, items: usize) -> Vec<Range<usize>> {
+    let chunk = items.div_ceil(threads.max(1)).max(1);
+    (0..items.div_ceil(chunk))
+        .map(|w| w * chunk..((w + 1) * chunk).min(items))
+        .collect()
+}
+
 /// Fans the index scan `0..items` across up to `threads` scoped workers,
-/// each covering one contiguous chunk, and merges the per-chunk tallies
-/// in chunk-index order.
+/// one per [`chunk_ranges`] chunk, and merges the per-chunk tallies in
+/// chunk-index order.
 ///
 /// With `threads = 1` (or one item) the single chunk is the exact
-/// historical serial walk. Chunks never split below one item, so the
-/// worker count is `min(threads, items)`.
+/// historical serial walk.
 fn scan_chunks<F>(threads: usize, items: usize, scan: F) -> Tally
 where
-    F: Fn(std::ops::Range<usize>) -> Tally + Sync,
+    F: Fn(Range<usize>) -> Tally + Sync,
 {
-    let workers = threads.max(1).min(items.max(1));
-    if workers <= 1 {
+    let ranges = chunk_ranges(threads, items);
+    if ranges.len() <= 1 {
         return scan(0..items);
     }
-    let chunk = items.div_ceil(workers);
     let parts: Vec<Tally> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .map(|range| {
                 let scan = &scan;
-                s.spawn(move || scan(w * chunk..((w + 1) * chunk).min(items)))
+                s.spawn(move || scan(range))
             })
             .collect();
         handles
@@ -1629,12 +1656,124 @@ fn simulate_ptb(
     )
 }
 
+/// Receptive-field rectangles of a layer on its `H × H` pixel grid —
+/// the dense baselines' window-sum helper.
+///
+/// A receptive field spans all `C` input channels of one pixel
+/// rectangle (clipped to the map under padding), and neuron `n` sits at
+/// pixel `n mod H²` (the `channel · H² + row · H + col` ifmap layout).
+/// So any per-neuron count, summed over channels into a per-pixel
+/// table, sums over a receptive field as a rectangle: four lookups into
+/// a summed-area table (a 2-D prefix sum) instead of a walk over the
+/// `C · R²` neurons of `geo.rf(p)`.
+///
+/// A table holds `(H + 1)²` cells of `lanes` values each, row-major,
+/// with a zero top row and left column: pixel `(r, c)` scatters into
+/// cell `(r + 1, c + 1)` ([`PixelWindows::neuron_cells`]), and after
+/// [`PixelWindows::integrate`] cell `(r, c)` holds the sum over pixels
+/// `[0, r) × [0, c)`. Values are [`Wrapping`] integers, so the corner
+/// arithmetic is exact modulo `2^bits` — and therefore exact outright,
+/// because every window sum fits its type.
+#[derive(Debug)]
+struct PixelWindows {
+    side: usize,
+    /// The cell of each pixel, in ifmap order (`row · H + col`).
+    pixel_cells: Vec<usize>,
+    /// Per output position `p`, the table cells at the corners of its
+    /// pixel rows `r0..r1` and columns `c0..c1`, ordered
+    /// `[(r1, c1), (r0, c0), (r0, c1), (r1, c0)]`: the window sum is
+    /// `(S[0] + S[1]) − (S[2] + S[3])`.
+    corners: Vec<[usize; 4]>,
+}
+
+impl PixelWindows {
+    /// The rectangles of `shape`'s output positions, in `geo`'s position
+    /// order (`p = x · E + y`, row `x`).
+    fn new(shape: ConvShape, geo: &LayerGeometry) -> Self {
+        let side = shape.ifmap_side() as usize;
+        let h = side as i64;
+        let r = i64::from(shape.filter_side());
+        let u = i64::from(shape.stride());
+        let pad = i64::from(shape.padding());
+        // Pixel span `[lo, hi)` of output row or column `o`, clipped.
+        let span = |o: usize| {
+            let lo = o as i64 * u - pad;
+            (lo.clamp(0, h) as usize, (lo + r).clamp(0, h) as usize)
+        };
+        let e = geo.side();
+        let w = side + 1;
+        let mut corners = Vec::with_capacity(e * e);
+        for x in 0..e {
+            let (r0, r1) = span(x);
+            for y in 0..e {
+                let (c0, c1) = span(y);
+                debug_assert_eq!(
+                    ((r1 - r0) * (c1 - c0) * shape.in_channels() as usize) as u64,
+                    geo.rf_len(corners.len()),
+                    "position ({x}, {y}): a receptive field is a channel-full pixel rectangle"
+                );
+                corners.push([r1 * w + c1, r0 * w + c0, r0 * w + c1, r1 * w + c0]);
+            }
+        }
+        let pixel_cells = (1..=side).flat_map(|r| r * w + 1..r * w + w).collect();
+        PixelWindows {
+            side,
+            pixel_cells,
+            corners,
+        }
+    }
+
+    /// Cells per table, `(H + 1)²`.
+    fn cells(&self) -> usize {
+        (self.side + 1).pow(2)
+    }
+
+    /// The cell each neuron scatters into, in neuron order: its pixel
+    /// `(r, c)` shifted past the zero border to `(r + 1, c + 1)`, one
+    /// channel after another.
+    fn neuron_cells(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pixel_cells.iter().copied().cycle()
+    }
+
+    /// Turns a table of scattered per-pixel values into its summed-area
+    /// table in place: a running sum along each row, then each row plus
+    /// the (already integrated) row above.
+    fn integrate<T: Copy + Add<Output = T>>(&self, table: &mut [T], lanes: usize) {
+        debug_assert_eq!(table.len(), self.cells() * lanes);
+        let w = (self.side + 1) * lanes;
+        for r in 1..=self.side {
+            let (above, row) = table[(r - 1) * w..(r + 1) * w].split_at_mut(w);
+            for i in lanes..w {
+                row[i] = row[i] + row[i - lanes];
+            }
+            for (v, &a) in row.iter_mut().zip(above.iter()) {
+                *v = *v + a;
+            }
+        }
+    }
+
+    /// Position `p`'s receptive-field sum of each of the integrated
+    /// table's `lanes` values.
+    fn window<'t, T>(&self, table: &'t [T], lanes: usize, p: usize) -> impl Iterator<Item = T> + 't
+    where
+        T: Copy + Add<Output = T> + Sub<Output = T>,
+    {
+        let [a, b, c, d] = self.corners[p].map(|cell| &table[cell * lanes..(cell + 1) * lanes]);
+        (0..lanes).map(move |k| (a[k] + b[k]) - (c[k] + d[k]))
+    }
+}
+
 /// Dense temporal baselines: the paper's baseline \[14\]
 /// (`time_serial = false`; columns host `cols` consecutive time points,
 /// weights shared within the group only) and the conventional
 /// time-serial accelerator (`time_serial = true`; one time point at a
 /// time, columns host output positions, weights refetched every time
 /// point — Fig. 7a's alternating access).
+///
+/// Both read their receptive-field spike sums off [`PixelWindows`]
+/// summed-area tables under the word kernel, at constant cost per
+/// position whatever the field's size; the scalar reference walks the
+/// fields. The sums are the same integers either way.
 fn simulate_dense_temporal(
     inputs: &SimInputs,
     shape: ConvShape,
@@ -1668,12 +1807,28 @@ fn simulate_dense_temporal(
         let positions = geo.positions();
         let pos_tiles = positions.div_ceil(cols);
         let t_u = t as u64;
-        // Whole-period fire counts, hoisted: each neuron appears in many
-        // receptive fields, so popcounting once per neuron (instead of
-        // once per (neuron, position) pair) saves a kernel-area factor.
-        let fires: Vec<u64> = (0..input.neurons())
-            .map(|n| u64::from(input.popcount_range(n, 0, t)))
-            .collect();
+        // A position's Σ fires over its receptive field, from
+        // whole-period fire counts popcounted once per neuron. The word
+        // kernel sums them per pixel into a one-lane summed-area table
+        // (`u64`: a window sum is at most `N · T`); the reference walks
+        // the field.
+        let fires = (0..input.neurons()).map(|n| u64::from(input.popcount_range(n, 0, t)));
+        let rf_fires: Box<dyn Fn(usize) -> u64 + Sync> = match kernel {
+            Kernel::Words => {
+                let pix = PixelWindows::new(shape, &geo);
+                let mut table = vec![Wrapping(0u64); pix.cells()];
+                for (cell, f) in pix.neuron_cells().zip(fires) {
+                    table[cell] += f;
+                }
+                pix.integrate(&mut table, 1);
+                Box::new(move |p| pix.window(&table, 1, p).map(|s| s.0).sum())
+            }
+            Kernel::Scalar => {
+                let fires: Vec<u64> = fires.collect();
+                let geo = Arc::clone(&geo);
+                Box::new(move |p| geo.rf(p).iter().map(|&n| fires[n]).sum())
+            }
+        };
         let mut tally = scan_chunks(inputs.threads, pos_tiles, |range| {
             let mut tally = Tally::default();
             for tile in range {
@@ -1683,9 +1838,7 @@ fn simulate_dense_temporal(
                 let mut spikes = 0u64;
                 for p in p0..p1 {
                     rf_sum += geo.rf_len(p);
-                    for &n in geo.rf(p) {
-                        spikes += fires[n];
-                    }
+                    spikes += rf_fires(p);
                 }
                 let rf_max = geo.max_rf_len(p0, p1);
                 sat!(tally.compute_cycles += (rf_max + fill) * t_u * row_tiles);
@@ -1735,88 +1888,123 @@ fn simulate_dense_temporal(
     // points (limited temporal parallelism), dense streaming.
     let part = WindowPartition::new(t, 1);
     let tiles = part.column_tiles(cols);
-    let bit_at = match kernel {
-        Kernel::Scalar => bits_of(input),
-        Kernel::Words => Arc::new(Vec::new()),
-    };
-    let bit_at: &[u8] = &bit_at;
-    if kernel == Kernel::Words {
-        WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-    let mut tally = scan_chunks(inputs.threads, geo.positions(), |range| {
-        let mut tally = Tally::default();
-        // Per-column spike counts of the current tile (word kernel).
-        let mut col_counts = vec![0u64; cols];
-        for p in range {
-            let rf = geo.rf(p);
-            let rf_len = rf.len() as u64;
-            for &(w0, w1) in &tiles {
-                let nw = w1 - w0;
-                let mut spikes_span = 0u64;
-                let mut busiest = 0u64;
-                match kernel {
-                    // Word path: read the tile's ≤`cols` time points as
-                    // funnel-shifted words and scatter only the *set*
-                    // bits into per-column counts — identical sums to
-                    // the per-point walk, `O(spikes)` stores.
-                    Kernel::Words => {
-                        col_counts[..nw].fill(0);
-                        for &n in rf {
-                            let mut s = w0;
-                            while s < w1 {
-                                let len = (w1 - s).min(64);
-                                let mut word = input.spike_word(n, s, len);
-                                while word != 0 {
-                                    col_counts[s - w0 + word.trailing_zeros() as usize] += 1;
-                                    word &= word - 1;
-                                }
-                                s += len;
+    // Books one (position, column tile) array iteration from the tile's
+    // busiest column and total spikes — identical arithmetic for both
+    // kernels, whose scans visit the pairs in different orders (safe:
+    // every tally is a commutative saturating sum, see [`PtbCtx`]).
+    let account =
+        move |tally: &mut Tally, rf_len: u64, span_len: u64, busiest: u64, spikes: u64| {
+            let iter_cycles = rf_len.max(busiest) + fill;
+            sat!(tally.compute_cycles += iter_cycles * row_tiles);
+            sat!(tally.useful_ops += spikes * m);
+            sat!(tally.counts.ac_ops += spikes * m);
+            sat!(tally.entries_before += rf_len * row_tiles);
+            sat!(tally.entries_after += rf_len * row_tiles);
+            sat!(tally.sum_entries_raw += rf_len);
+            let in_bits = rf_len * span_len * row_tiles;
+            tally.counts.transfer(
+                MemLevel::GlobalBuffer,
+                MemLevel::L1,
+                DataKind::InputSpike,
+                in_bits,
+            );
+            tally
+                .counts
+                .read(MemLevel::L1, DataKind::InputSpike, in_bits);
+            tally
+                .counts
+                .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
+            tally
+                .counts
+                .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
+        };
+    let mut tally = match kernel {
+        // Tile-major: per column tile, scatter every neuron's set bits
+        // into its pixel's per-column counts (summing over channels),
+        // integrate them into a `cols`-lane summed-area table, and read
+        // each position's per-column spike counts off four corners —
+        // `O(cols)` per position instead of a receptive-field walk. A
+        // column count is at most `rf_len < 2³²`, so `u32` lanes are
+        // exact. Workers split the tiles, one table each, reused across
+        // their tiles.
+        Kernel::Words => {
+            WORD_KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
+            let pix = PixelWindows::new(shape, &geo);
+            let (words, wpn) = (input.words(), input.words_per_neuron());
+            scan_chunks(inputs.threads, tiles.len(), |range| {
+                let mut tally = Tally::default();
+                let mut table = vec![Wrapping(0u32); pix.cells() * cols];
+                // The tile's pieces within single storage words:
+                // (word index, shift, mask, first column).
+                let mut pieces: Vec<(usize, u32, u64, usize)> = Vec::new();
+                for &(w0, w1) in &tiles[range] {
+                    pieces.clear();
+                    let mut s = w0;
+                    while s < w1 {
+                        let len = (w1 - s).min(64 - s % 64);
+                        let mask = if len == 64 {
+                            u64::MAX
+                        } else {
+                            (1u64 << len) - 1
+                        };
+                        pieces.push((s / 64, (s % 64) as u32, mask, s - w0));
+                        s += len;
+                    }
+                    table.fill(Wrapping(0));
+                    for &(wi, shift, mask, col) in &pieces {
+                        let column = words.iter().skip(wi).step_by(wpn);
+                        for (&word, cell) in column.zip(pix.neuron_cells()) {
+                            let mut word = (word >> shift) & mask;
+                            while word != 0 {
+                                table[cell * cols + col + word.trailing_zeros() as usize] += 1;
+                                word &= word - 1;
                             }
                         }
-                        for &c in &col_counts[..nw] {
-                            busiest = busiest.max(c);
-                            spikes_span += c;
-                        }
                     }
-                    Kernel::Scalar => {
+                    pix.integrate(&mut table, cols);
+                    let nw = w1 - w0;
+                    for p in 0..geo.positions() {
+                        let (mut busiest, mut spikes) = (0u64, 0u64);
+                        for c in pix.window(&table, cols, p).take(nw) {
+                            busiest = busiest.max(u64::from(c.0));
+                            spikes += u64::from(c.0);
+                        }
+                        account(&mut tally, geo.rf_len(p), nw as u64, busiest, spikes);
+                    }
+                }
+                tally
+            })
+        }
+        Kernel::Scalar => {
+            let bit_at = bits_of(input);
+            let bit_at: &[u8] = &bit_at;
+            scan_chunks(inputs.threads, geo.positions(), |range| {
+                let mut tally = Tally::default();
+                for p in range {
+                    let rf = geo.rf(p);
+                    for &(w0, w1) in &tiles {
+                        let (mut busiest, mut spikes) = (0u64, 0u64);
                         for tp in w0..w1 {
                             let mut col_spikes = 0u64;
                             for &n in rf {
                                 col_spikes += u64::from(bit_at[n * t + tp]);
                             }
                             busiest = busiest.max(col_spikes);
-                            spikes_span += col_spikes;
+                            spikes += col_spikes;
                         }
+                        account(
+                            &mut tally,
+                            rf.len() as u64,
+                            (w1 - w0) as u64,
+                            busiest,
+                            spikes,
+                        );
                     }
                 }
-                let iter_cycles = rf_len.max(busiest) + fill;
-                sat!(tally.compute_cycles += iter_cycles * row_tiles);
-                sat!(tally.useful_ops += spikes_span * m);
-                sat!(tally.counts.ac_ops += spikes_span * m);
-                sat!(tally.entries_before += rf_len * row_tiles);
-                sat!(tally.entries_after += rf_len * row_tiles);
-                sat!(tally.sum_entries_raw += rf_len);
-                let span_len = (w1 - w0) as u64;
-                let in_bits = rf_len * span_len * row_tiles;
-                tally.counts.transfer(
-                    MemLevel::GlobalBuffer,
-                    MemLevel::L1,
-                    DataKind::InputSpike,
-                    in_bits,
-                );
                 tally
-                    .counts
-                    .read(MemLevel::L1, DataKind::InputSpike, in_bits);
-                tally
-                    .counts
-                    .read(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-                tally
-                    .counts
-                    .write(MemLevel::GlobalBuffer, DataKind::Membrane, m * pbits);
-            }
+            })
         }
-        tally
-    });
+    };
     sat!(tally.counts.compare_ops += m * geo.positions() as u64 * t as u64);
     finalize(
         inputs,
@@ -2349,7 +2537,9 @@ mod tests {
         // branch (tiles too wide for the count-scatter arena).
         // cols = 20 exercises all three at once; 32 takes the fused
         // wide-field builder; 128 is the Fig. 9(b) extreme, one tile
-        // spanning two window words.
+        // spanning two window words. The dense baselines ride along:
+        // baseline [14]'s tiles wider than 64 points scatter from more
+        // than one spike word into the summed-area table.
         use systolic_sim::{ArchConfig, ArrayDims};
         let shape = ConvShape::with_padding(6, 3, 4, 8, 1, 1).unwrap();
         let input = sparse_input(shape, 70);
@@ -2364,7 +2554,12 @@ mod tests {
                     ..inputs
                 };
                 inputs.assert_valid();
-                for policy in [Policy::ptb(), Policy::ptb_with_stsap()] {
+                for policy in [
+                    Policy::ptb(),
+                    Policy::ptb_with_stsap(),
+                    Policy::BaselineTemporal,
+                    Policy::TimeSerial,
+                ] {
                     let word = simulate_layer(&inputs, policy, shape, &input);
                     let scalar = simulate_layer_reference(&inputs, policy, shape, &input);
                     assert_eq!(
@@ -2374,6 +2569,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dense_baselines_match_reference_on_strided_padded_and_fc_shapes() {
+        // The summed-area window sums must equal the receptive-field
+        // walk wherever the clipped rectangles get awkward: strides above
+        // one whose padded windows overhang both map edges, an
+        // AlexNet-CONV1-like R = 11, U = 4 filter (with and without
+        // padding), and FC layers as 1×1 and H = R convolutions. Thread
+        // counts run past the column-tile count (t = 20 is three tiles
+        // at 8 columns), and tiles run wider than one spike word.
+        use systolic_sim::{ArchConfig, ArrayDims};
+        let shapes = [
+            ConvShape::with_padding(9, 5, 3, 4, 2, 2).unwrap(),
+            ConvShape::with_padding(9, 5, 3, 4, 3, 1).unwrap(),
+            ConvShape::new(23, 11, 3, 4, 4).unwrap(),
+            ConvShape::with_padding(19, 11, 2, 4, 4, 2).unwrap(),
+            ConvShape::new(1, 1, 64, 8, 1).unwrap(),
+            ConvShape::new(4, 4, 5, 8, 1).unwrap(),
+        ];
+        for shape in shapes {
+            for t in [20usize, 70] {
+                let input = sparse_input(shape, t);
+                for cols in [8u32, 20, 128] {
+                    for threads in [1usize, 5, 64] {
+                        let inputs = SimInputs {
+                            arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
+                            ..SimInputs::hpca22(1)
+                        }
+                        .with_threads(threads);
+                        for policy in [Policy::BaselineTemporal, Policy::TimeSerial] {
+                            assert_eq!(
+                                simulate_layer(&inputs, policy, shape, &input),
+                                simulate_layer_reference(&inputs, policy, shape, &input),
+                                "{policy:?} {shape:?} t={t} cols={cols} threads={threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pixel_windows_sum_every_receptive_field() {
+        // Four corner lookups equal a direct walk of each field, for a
+        // per-neuron value and every lane.
+        let shape = ConvShape::with_padding(9, 5, 3, 4, 2, 2).unwrap();
+        let geo = LayerGeometry::new(shape);
+        let pix = PixelWindows::new(shape, &geo);
+        let lanes = 3;
+        let value = |n: usize, k: usize| (n * 7 + k * 13) as u32 % 5;
+        let mut table = vec![Wrapping(0u32); pix.cells() * lanes];
+        for (n, cell) in (0..shape.ifmap_neurons()).zip(pix.neuron_cells()) {
+            for k in 0..lanes {
+                table[cell * lanes + k] += value(n, k);
+            }
+        }
+        pix.integrate(&mut table, lanes);
+        for p in 0..geo.positions() {
+            let got: Vec<u32> = pix.window(&table, lanes, p).map(|s| s.0).collect();
+            let want: Vec<u32> = (0..lanes)
+                .map(|k| geo.rf(p).iter().map(|&n| value(n, k)).sum())
+                .collect();
+            assert_eq!(got, want, "position {p}");
+        }
+    }
+
+    #[test]
+    fn chunks_are_nonempty_in_bounds_and_cover_every_item() {
+        // Regression: 6 items on 5 threads once spawned 5 workers of
+        // `ceil(6 / 5) = 2` items, handing the last one the range 8..6.
+        for (items, threads) in [(6, 5), (7, 4), (1, 8), (0, 2), (10, 3), (64, 64), (5, 1)] {
+            let ranges = chunk_ranges(threads, items);
+            assert!(ranges.len() <= threads, "({items}, {threads}): {ranges:?}");
+            let mut next = 0;
+            for r in &ranges {
+                assert!(
+                    r.start == next && r.start < r.end && r.end <= items,
+                    "({items}, {threads}): {ranges:?}"
+                );
+                next = r.end;
+            }
+            assert_eq!(next, items, "({items}, {threads}): {ranges:?}");
+        }
+        // A scan that slices by its range must not panic.
+        let data = [1u64; 6];
+        let tally = scan_chunks(5, data.len(), |range| Tally {
+            useful_ops: data[range].iter().sum(),
+            ..Tally::default()
+        });
+        assert_eq!(tally.useful_ops, 6);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use ptb_snn::ptb_accel::config::{Policy, SimInputs};
-use ptb_snn::ptb_accel::sim::simulate_layer;
+use ptb_snn::ptb_accel::sim::{simulate_layer, simulate_layer_reference};
 use ptb_snn::ptb_accel::stsap::{pack_tile, PackResult};
 use ptb_snn::snn_core::shape::ConvShape;
 use ptb_snn::snn_core::spike::SpikeTensor;
+use ptb_snn::systolic_sim::{ArchConfig, ArrayDims};
 
 fn small_layer_strategy() -> impl Strategy<Value = (ConvShape, SpikeTensor)> {
     (
@@ -155,6 +156,41 @@ proptest! {
             let a = simulate_layer(&serial, p, shape, &input);
             let b = simulate_layer(&parallel, p, shape, &input);
             prop_assert_eq!(a, b, "{:?} diverged at {} threads", p, threads);
+        }
+    }
+
+    #[test]
+    fn dense_baselines_match_the_scalar_reference(
+        (r, u, k, pad, c) in (1u32..7, 1u32..5, 0u32..5, 0u32..5, 1u32..4),
+        (t, cols, threads, seed) in (1usize..150, 1u32..=130, 1usize..=9, any::<u64>()),
+    ) {
+        // The summed-area window sums of both dense baselines against
+        // the receptive-field walk, over random strides, paddings
+        // (overhanging windows included), array widths (tiles wider than
+        // a spike word included) and thread counts (beyond the tile
+        // count included). The padded side `R + k·U` tiles by
+        // construction; the padding is capped so the map keeps a pixel.
+        let pad = pad.min((r + k * u - 1) / 2);
+        let h = r + k * u - 2 * pad;
+        let shape = ConvShape::with_padding(h, r, c, 3, u, pad).expect("valid by construction");
+        let density = 2 + seed % 7;
+        let input = SpikeTensor::from_fn(shape.ifmap_neurons(), t, move |i, tp| {
+            (i as u64)
+                .wrapping_mul(0x9E37)
+                .wrapping_add((tp as u64).wrapping_mul(0x85EB))
+                .wrapping_add(seed)
+                % density
+                == 0
+        });
+        let inputs = SimInputs {
+            arch: ArchConfig::hpca22().with_array(ArrayDims::new(4, cols)),
+            ..SimInputs::hpca22(1)
+        }
+        .with_threads(threads);
+        for p in [Policy::BaselineTemporal, Policy::TimeSerial] {
+            let word = simulate_layer(&inputs, p, shape, &input);
+            let reference = simulate_layer_reference(&inputs, p, shape, &input);
+            prop_assert_eq!(word, reference, "{:?} {:?} t={} cols={} threads={}", p, shape, t, cols, threads);
         }
     }
 
