@@ -73,7 +73,6 @@
 pub mod audit;
 pub mod config;
 pub mod geom;
-pub mod optimize;
 pub mod prepared;
 pub mod reference;
 pub mod report;

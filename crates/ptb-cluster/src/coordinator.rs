@@ -90,8 +90,7 @@ use ptb_serve::api;
 use ptb_serve::client::{self, Connection, RetryPolicy};
 use ptb_serve::engine::{run_options, Outcome};
 use ptb_serve::http::{
-    ConnReader, Request, RequestError, Response, KEEPALIVE_IDLE, MAX_REQUESTS_PER_CONN,
-    READ_TIMEOUT,
+    self, ConnReader, Request, RequestError, Response, KEEPALIVE_IDLE, MAX_REQUESTS_PER_CONN,
 };
 use ptb_serve::jobs::{panic_message, JobRegistry, JobState, SweepJob};
 use ptb_serve::journal::{read_epoch, write_epoch, JobJournal, ReplayedJob};
@@ -445,8 +444,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        http::configure_accepted(&stream);
         let shared = Arc::clone(&shared);
         // Thread-per-connection, no bounded queue: unlike a worker, the
         // coordinator does no simulation — its handlers block on

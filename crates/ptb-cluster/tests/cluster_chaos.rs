@@ -10,12 +10,13 @@
 //! Failpoints are process-global, so the tests serialize on
 //! [`TEST_LOCK`].
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
+use std::sync::atomic::Ordering;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use common::{tmp_path, Daemon};
 use ptb_accel::config::Policy;
 use ptb_bench::{failpoint, sweep_summary_cached, RunOptions, SweepRow};
 use ptb_cluster::{ClusterConfig, Coordinator};
@@ -28,61 +29,23 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn tmp_path(tag: &str) -> PathBuf {
-    static UNIQ: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "ptb-cluster-chaos-{tag}-{}-{}",
-        std::process::id(),
-        UNIQ.fetch_add(1, Ordering::Relaxed),
-    ))
-}
-
-/// Spawns a killable worker *process* (`ptb-clusterd --spawn-worker`)
-/// on an ephemeral port, with every sweep shard slowed by `shard_ms` at
-/// the `shard_exec` failpoint so a kill reliably lands mid-shard.
-/// Returns the child and its bound address.
-fn spawn_worker_process(shard_ms: u64) -> (Child, String) {
-    let port_file = tmp_path("port");
-    let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_ptb-clusterd"))
-        .args([
-            "--spawn-worker",
-            "--addr",
-            "127.0.0.1:0",
-            "--job-dir",
-            "off",
-            "--workers",
-            "2",
-            "--port-file",
-        ])
-        .arg(&port_file)
-        .env("PTB_FAILPOINTS", format!("shard_exec=sleep:{shard_ms}"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn worker process");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        assert!(Instant::now() < deadline, "worker never wrote its port");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let _ = std::fs::remove_file(&port_file);
-    (child, format!("127.0.0.1:{port}"))
+/// A killable worker *process* (`ptb-clusterd --spawn-worker`) with
+/// every sweep shard slowed by `shard_ms` at the `shard_exec`
+/// failpoint, so a kill reliably lands mid-shard.
+fn spawn_worker_process(shard_ms: u64) -> Daemon {
+    Daemon::worker(
+        None,
+        &[("PTB_FAILPOINTS", &format!("shard_exec=sleep:{shard_ms}"))],
+    )
 }
 
 #[test]
 fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
     let _guard = serialized();
-    let (mut child_a, addr_a) = spawn_worker_process(200);
-    let (mut child_b, addr_b) = spawn_worker_process(200);
+    let mut workers = [spawn_worker_process(200), spawn_worker_process(200)];
     let coordinator = Coordinator::start(&ClusterConfig {
         addr: "127.0.0.1:0".into(),
-        workers: vec![addr_a, addr_b],
+        workers: workers.iter().map(|w| w.addr.to_string()).collect(),
         fail_threshold: 1,
         probe_interval_ms: 100,
         probe_timeout_ms: 500,
@@ -120,13 +83,7 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
         assert!(Instant::now() < deadline, "no shard ever completed");
         std::thread::sleep(Duration::from_millis(10));
     };
-    let victim_child = if victim == 0 {
-        &mut child_a
-    } else {
-        &mut child_b
-    };
-    victim_child.kill().expect("kill -9 the victim worker");
-    let _ = victim_child.wait();
+    workers[victim].kill();
 
     // The sweep must still finish, and finish *right*.
     let rows: Vec<SweepRow> = loop {
@@ -166,10 +123,7 @@ fn killed_worker_mid_sweep_is_reclaimed_and_rows_stay_bit_identical() {
         "the victim's in-flight shard must be reclaimed by the survivor"
     );
 
-    let _ = child_a.kill();
-    let _ = child_b.kill();
-    let _ = child_a.wait();
-    let _ = child_b.wait();
+    drop(workers);
     coordinator.shutdown();
     coordinator.join();
 }
@@ -259,17 +213,16 @@ fn garbage_worker_responses_are_retried_without_liveness_penalty() {
 /// starting a second coordinator over the first one's journal directory
 /// (the first is shut down mid-sweep rather than killed — the journal
 /// path is identical, and `kill -9` of a real coordinator process is
-/// covered by the CI cluster stage).
+/// covered by `fleet_drills.rs`).
 #[test]
 fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
     let _guard = serialized();
-    let (mut child_a, addr_a) = spawn_worker_process(150);
-    let (mut child_b, addr_b) = spawn_worker_process(150);
+    let workers = [spawn_worker_process(150), spawn_worker_process(150)];
     let job_dir = tmp_path("journal");
     let _ = std::fs::remove_dir_all(&job_dir);
     let cfg = ClusterConfig {
         addr: "127.0.0.1:0".into(),
-        workers: vec![addr_a.clone(), addr_b.clone()],
+        workers: workers.iter().map(|w| w.addr.to_string()).collect(),
         job_dir: Some(job_dir.clone()),
         fail_threshold: 1,
         probe_interval_ms: 100,
@@ -324,10 +277,7 @@ fn coordinator_restart_resumes_a_journaled_sweep_from_its_dispatch_journal() {
         "a resumed sweep must be bit-identical to an uninterrupted one"
     );
 
-    let _ = child_a.kill();
-    let _ = child_b.kill();
-    let _ = child_a.wait();
-    let _ = child_b.wait();
+    drop(workers);
     second.shutdown();
     second.join();
     let _ = std::fs::remove_dir_all(&job_dir);

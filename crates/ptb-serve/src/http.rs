@@ -21,6 +21,7 @@
 //! `ptb-serve/tests/http_robustness.rs` property-tests this.
 
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Maximum size of the request head (request line + headers) in bytes.
@@ -46,6 +47,18 @@ pub const KEEPALIVE_IDLE: Duration = Duration::from_secs(5);
 /// request number `MAX_REQUESTS_PER_CONN` closes. Bounds per-connection
 /// resource lifetime without ever bothering a legitimate client.
 pub const MAX_REQUESTS_PER_CONN: usize = 1024;
+
+/// The socket settings every accepted connection gets, in both daemons:
+/// [`READ_TIMEOUT`] on reads (the first request's deadline) and on
+/// writes, so a client that stops reading a large response cannot pin
+/// the thread writing it; and `TCP_NODELAY`, because keep-alive
+/// exchanges are latency-bound request/response traffic that Nagle
+/// batching would serialize on delayed ACKs.
+pub fn configure_accepted(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_nodelay(true);
+}
 
 /// Which wire codec a request (and therefore its response) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,7 +293,7 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, RequestError> {
         )));
     }
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut codec = Codec::Json;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
@@ -292,10 +305,25 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, RequestError> {
             .split_once(':')
             .ok_or_else(|| RequestError::Malformed(format!("malformed header line {line:?}")))?;
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| RequestError::Malformed(format!("bad Content-Length {value:?}")))?;
+            // Digits only (`usize::from_str` would take `+5`), and
+            // repeats must agree: an intermediary that honors the first
+            // of two different values would frame another body
+            // (RFC 9112 §6.3).
+            let digits = value.trim();
+            let length = match digits.parse::<usize>() {
+                Ok(n) if digits.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => {
+                    return Err(RequestError::Malformed(format!(
+                        "bad Content-Length {value:?}"
+                    )))
+                }
+            };
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(RequestError::Malformed(
+                    "conflicting Content-Length headers".into(),
+                ));
+            }
+            content_length = Some(length);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(RequestError::Malformed(
                 "chunked transfer encoding is not supported".into(),
@@ -318,7 +346,7 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, RequestError> {
     Ok(ParsedHead {
         method: method.to_string(),
         path: path.to_string(),
-        content_length,
+        content_length: content_length.unwrap_or(0),
         codec,
         keep_alive,
     })
@@ -538,6 +566,21 @@ mod tests {
             (b"GET /x SPDY/9\r\n\r\n", 400),
             (b"GET /x HTTP/1.1\r\nno-colon\r\n\r\n", 400),
             (b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length: -0\r\n\r\n", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length: \r\n\r\n", 400),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+                400,
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello",
+                400,
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 0\r\ncontent-length: 5\r\n\r\nhello",
+                400,
+            ),
             (b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort", 400),
             (
                 b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
@@ -551,6 +594,21 @@ mod tests {
         }
         // Nothing at all is a clean idle close, not a protocol error.
         assert_eq!(parse(b"").unwrap_err(), RequestError::Idle);
+        // Repeats that agree frame one body.
+        let r = parse(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length:  2 \r\n\r\nok")
+            .unwrap();
+        assert_eq!(r.body, b"ok");
+    }
+
+    #[test]
+    fn accepted_streams_get_read_and_write_timeouts() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_accepted(&accepted);
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert!(accepted.nodelay().unwrap());
     }
 
     #[test]

@@ -75,8 +75,7 @@ use serde::Value;
 use crate::api;
 use crate::engine::{Engine, Outcome, RETRY_AFTER_SECS};
 use crate::http::{
-    Codec, ConnReader, Request, RequestError, Response, KEEPALIVE_IDLE, MAX_REQUESTS_PER_CONN,
-    READ_TIMEOUT,
+    self, Codec, ConnReader, Request, RequestError, Response, KEEPALIVE_IDLE, MAX_REQUESTS_PER_CONN,
 };
 use crate::jobs::{panic_message, JobRegistry, JobState, SweepJob};
 use crate::journal::JobJournal;
@@ -433,11 +432,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             .metrics
             .accepted
             .fetch_add(1, Ordering::Relaxed);
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
-        // Keep-alive exchanges are latency-bound request/response
-        // traffic; Nagle batching would serialize them on delayed ACKs.
-        let _ = stream.set_nodelay(true);
+        http::configure_accepted(&stream);
         if let Err(Work::Conn(rejected, _)) = shared.queue.push(Work::Conn(stream, Instant::now()))
         {
             shared
@@ -525,7 +520,7 @@ fn worker_loop(shared: &Shared) {
 /// Reads (`&TcpStream` is `Read`) go through a [`ConnReader`] so bytes
 /// past the current request stay buffered for the next one
 /// (pipelining); writes go straight to the stream. The first request
-/// keeps the accept-time [`READ_TIMEOUT`]; subsequent requests get the
+/// keeps the accept-time [`http::READ_TIMEOUT`]; subsequent requests get the
 /// shorter [`KEEPALIVE_IDLE`] budget. Deadlines measured from enqueue
 /// apply to the *first* request only — later requests on the
 /// connection never waited in the accept queue, so their deadline
